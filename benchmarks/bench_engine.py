@@ -46,10 +46,7 @@ for entry in (REPO_ROOT / "src", REPO_ROOT / "tests"):
         sys.path.insert(0, str(entry))
 
 from repro.api import AnalysisSession  # noqa: E402
-from repro.circuits.program import Seq  # noqa: E402
 from repro.config import AnalysisConfig, DEFAULT_BIT_FLIP_PROBABILITY  # noqa: E402
-from repro.core.scheduler import clear_tape_memo  # noqa: E402
-from repro.engine.costmodel import reset_global_model  # noqa: E402
 from repro.engine.outcomes import OutcomeStore  # noqa: E402
 from repro.engine.pool import AnalysisEngine, execute_job  # noqa: E402
 from repro.engine.spec import AnalysisJob  # noqa: E402
@@ -194,110 +191,6 @@ def measure_outcome_warm_path(jobs: list[AnalysisJob], *, duplicates: int = DUPL
         "bit_identical": warm.results == cold.results,
         "certificates_reverified": certificates_reverified,
         "store_stats": stats,
-    }
-
-
-#: A fused concurrent multi-job window must beat the same batch unfused by at
-#: least this factor (cross-job dedupe + one giant kernel launch instead of
-#: many under-filled per-job launches).  ``--check --engine`` fails below it.
-FUSION_SPEEDUP_FLOOR = 2.0
-
-#: Program whose prefix truncations form the concurrent serving slice.
-FUSION_BENCHMARK = "QAOA_line_10"
-#: Prefix fractions of the fused workload — overlapping but *distinct* jobs
-#: (distinct fingerprints, so no engine-level dedupe), whose shared prefix
-#: makes their quantised solve classes overlap heavily.
-FUSION_PREFIX_FRACTIONS = (0.7, 0.8, 0.9, 1.0)
-#: Fusion window used by the benchmark: effectively unbounded, so the whole
-#: batch is always admitted (the window is a latency knob, not the subject).
-FUSION_WINDOW_MS = 10_000.0
-
-
-def fusion_jobs() -> list[AnalysisJob]:
-    """The concurrent multi-job slice: prefix truncations of one benchmark.
-
-    Concurrent users iterating on variants of one circuit submit near-
-    duplicate programs; prefix truncation models that while guaranteeing the
-    jobs share quantised solve classes (identical MPS evolution over the
-    shared prefix) yet stay distinct jobs to the engine.
-    """
-    model = NoiseModel.uniform_bit_flip(DEFAULT_BIT_FLIP_PROBABILITY)
-    config = AnalysisConfig(mps_width=WORKLOAD_MPS_WIDTH)
-    spec = next(s for s in table2_benchmarks("reduced") if s.name == FUSION_BENCHMARK)
-    circuit = spec.build()
-    program = circuit.to_program()
-    parts = list(program.parts) if isinstance(program, Seq) else [program]
-    jobs = []
-    for fraction in FUSION_PREFIX_FRACTIONS:
-        keep = max(1, int(len(parts) * fraction))
-        jobs.append(
-            AnalysisJob(
-                program=Seq(tuple(parts[:keep])),
-                noise_model=model,
-                config=config,
-                num_qubits=circuit.num_qubits,
-                name=f"{FUSION_BENCHMARK}_prefix{keep}",
-            )
-        )
-    return jobs
-
-
-def measure_cross_job_fusion(*, jobs: list[AnalysisJob] | None = None) -> dict:
-    """Fused vs unfused execution of the concurrent multi-job serving slice.
-
-    Both legs run the same batch on a fresh engine with a fresh outcome
-    store; process-wide state (tape prefix memo, solve cost model) is reset
-    before each leg so neither inherits the other's warmth.  The fused leg
-    must produce bit-identical bounds, keep every stored dual certificate
-    re-verifiable, and beat the unfused leg by ``FUSION_SPEEDUP_FLOOR``.
-    """
-    jobs = jobs if jobs is not None else fusion_jobs()
-
-    def leg(batch_window_ms: float) -> dict:
-        clear_tape_memo()
-        reset_global_model()
-        with tempfile.TemporaryDirectory(prefix="bench-engine-fusion-") as tmp:
-            path = os.path.join(tmp, "outcomes.jsonl")
-            engine = AnalysisEngine(
-                workers=1, outcomes=path, batch_window_ms=batch_window_ms
-            )
-            start = time.perf_counter()
-            report = engine.run(jobs)
-            seconds = time.perf_counter() - start
-            assert report.ok
-            store = OutcomeStore(path)
-            certificates_reverified = all(
-                store.get(job.fingerprint(), verify=True) is not None for job in jobs
-            )
-            return {
-                "seconds": seconds,
-                "bounds": [result.error_bound for result in report.results],
-                "sdp_solves": sum(result.sdp_solves for result in report.results),
-                "certificates_reverified": certificates_reverified,
-                "fusion": engine.stats()["fusion"],
-            }
-
-    unfused = leg(0.0)
-    fused = leg(FUSION_WINDOW_MS)
-    clear_tape_memo()
-    reset_global_model()
-    return {
-        "workers": 1,
-        "jobs": len(jobs),
-        "benchmark": FUSION_BENCHMARK,
-        "prefix_fractions": list(FUSION_PREFIX_FRACTIONS),
-        "unfused_seconds": unfused["seconds"],
-        "fused_seconds": fused["seconds"],
-        "speedup_fused_vs_unfused": unfused["seconds"] / fused["seconds"],
-        "fused_jobs_per_minute": 60.0 * len(jobs) / fused["seconds"],
-        "bit_identical": fused["bounds"] == unfused["bounds"],
-        "certificates_reverified": (
-            unfused["certificates_reverified"] and fused["certificates_reverified"]
-        ),
-        "sdp_solves_unfused": unfused["sdp_solves"],
-        "sdp_solves_fused": fused["sdp_solves"],
-        "fused_jobs": fused["fusion"]["fused_jobs"],
-        "fused_classes": fused["fusion"]["fused_classes"],
     }
 
 
@@ -464,7 +357,6 @@ def collect_all() -> dict:
         == sequential_unique_bounds,
         "warm_cache_table2_reduced": measure_warm_cache(jobs),
         "outcome_store_warm_path": measure_outcome_warm_path(jobs),
-        "cross_job_fusion": measure_cross_job_fusion(),
         "metric_registry": measure_metric_registry(),
     }
     return payload
@@ -524,26 +416,6 @@ def test_outcome_warm_path_smoke():
     assert outcome["outcome_hits_warm"] == 1
     assert outcome["bit_identical"]
     assert outcome["certificates_reverified"]
-
-
-def test_cross_job_fusion_smoke():
-    """Fused cross-job bounds are bit-identical with certificates intact.
-
-    The ≥2x speedup floor is asserted by ``run_bench.py --check --engine``
-    (timing assertions do not belong in a unit smoke); here the checks are
-    the structural ones — the window actually fused work across jobs, the
-    fused bounds match the unfused ones exactly, and every stored dual
-    certificate still re-verifies.
-    """
-    fusion = measure_cross_job_fusion()
-    assert fusion["bit_identical"]
-    assert fusion["certificates_reverified"]
-    assert fusion["fused_jobs"] == len(FUSION_PREFIX_FRACTIONS)
-    assert fusion["fused_classes"] > 0
-    # Cross-job dedupe + persistent transport: the fused jobs answer their
-    # classes from the shared store instead of solving them again.
-    assert fusion["sdp_solves_fused"] == 0
-    assert fusion["sdp_solves_unfused"] > 0
 
 
 def test_metric_registry_smoke():

@@ -248,11 +248,6 @@ class AnalysisSession:
             :class:`~repro.engine.outcomes.OutcomeStore`; fingerprints it
             holds answer from one lookup (no MPS walk, no SDP work) and
             executed successes are written back with their dual certificates.
-        batch_window_ms: cross-job SDP batch-fusion window in milliseconds
-            (0 disables fusion — the default; see
-            :class:`~repro.engine.pool.AnalysisEngine`).
-        batch_window_max_classes: cap on the solve classes one fusion window
-            may pool.
         remote: base URL of a running service; mutually exclusive with the
             local engine knobs.
         client: a pre-built :class:`Client` (overrides ``remote``).
@@ -267,8 +262,6 @@ class AnalysisSession:
         config: AnalysisConfig | None = None,
         resume: bool = False,
         outcomes=None,
-        batch_window_ms: float = 0.0,
-        batch_window_max_classes: int = 4096,
         remote: str | None = None,
         client: Client | None = None,
     ):
@@ -277,22 +270,11 @@ class AnalysisSession:
         self._closed = False
         self._service: AnalysisService | None = None
         if remote is not None or client is not None:
-            if (
-                workers != 1
-                or store is not None
-                or cache_dir is not None
-                or outcomes is not None
-                or batch_window_ms != 0.0
-            ):
+            if workers != 1 or store is not None or cache_dir is not None or outcomes is not None:
                 raise EngineError(
-                    "remote sessions delegate workers/store/cache_dir/outcomes/"
-                    "batch_window_ms to the server; configure those on "
-                    "gleipnir-serve instead"
+                    "remote sessions delegate workers/store/cache_dir/outcomes "
+                    "to the server; configure those on gleipnir-serve instead"
                 )
-            if isinstance(remote, str) and "," in remote:
-                # A comma-separated list names a sharded replica deployment
-                # (in shard order); the Client routes by fingerprint.
-                remote = [url.strip() for url in remote.split(",") if url.strip()]
             self._client: Client | None = client or Client(remote)
             self._engine: AnalysisEngine | None = None
         else:
@@ -302,8 +284,6 @@ class AnalysisSession:
                 store=store,
                 cache_dir=cache_dir,
                 outcomes=outcomes,
-                batch_window_ms=batch_window_ms,
-                batch_window_max_classes=batch_window_max_classes,
             )
 
     # -- lifecycle ---------------------------------------------------------
@@ -762,24 +742,10 @@ def add_session_arguments(parser: argparse.ArgumentParser) -> None:
         help="whole-outcome store (JSONL); warm re-submissions answer from one lookup",
     )
     group.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=0.0,
-        help="cross-job SDP fusion window in milliseconds (0 disables fusion)",
-    )
-    group.add_argument(
-        "--batch-window-max-classes",
-        type=int,
-        default=4096,
-        help="max solve classes pooled by one fusion window",
-    )
-    group.add_argument(
         "--remote",
         type=str,
         default=None,
-        help="submit to a running gleipnir-serve at this URL instead of running "
-        "locally; a comma-separated list of replica URLs (in shard order) "
-        "enables client-side fingerprint sharding",
+        help="submit to a running gleipnir-serve at this URL instead of running locally",
     )
     group.add_argument(
         "--trace",
@@ -815,7 +781,6 @@ def session_from_args(
                 ("--cache-dir", getattr(args, "cache_dir", None) is not None),
                 ("--outcomes", getattr(args, "outcomes", None) is not None),
                 ("--resume", bool(getattr(args, "resume", False))),
-                ("--batch-window-ms", getattr(args, "batch_window_ms", 0.0) != 0.0),
             )
             if is_set
         ]
@@ -831,8 +796,6 @@ def session_from_args(
         cache_dir=getattr(args, "cache_dir", None),
         outcomes=getattr(args, "outcomes", None),
         resume=getattr(args, "resume", False),
-        batch_window_ms=getattr(args, "batch_window_ms", 0.0),
-        batch_window_max_classes=getattr(args, "batch_window_max_classes", 4096),
         config=config,
     )
 

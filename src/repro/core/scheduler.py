@@ -189,30 +189,6 @@ class BoundScheduler:
         self._instances = 0
 
     # -- public entry --------------------------------------------------------
-    def collect_classes(
-        self, program: Program, initial_bits: list[int]
-    ) -> list[SolveClass]:
-        """Collection-only pre-pass: the classes the cache cannot yet answer.
-
-        Runs the same memoised MPS walk as :meth:`prefill` but stops before
-        the solve phase, returning the pending :class:`SolveClass` list.  The
-        engine's cross-job fusion stage uses this to gather solve classes
-        from several jobs and dispatch them as one batch; any memo steps the
-        walk records are reused verbatim by the subsequent full analysis.
-        """
-        approximator = MPSApproximator.from_product_state(
-            initial_bits, width=self.config.mps_width
-        )
-        self._classes.clear()
-        self._instances = 0
-        tape = ReplayTape()
-        with span("scheduler.collect", "scheduler"):
-            if getattr(self.config, "tape_memo", True):
-                self._collect_memoised(program, initial_bits, approximator, tape)
-            else:
-                self._collect(program, approximator, tape)
-        return self._pending_classes()
-
     def _pending_classes(self) -> list[SolveClass]:
         """The collected classes the cache cannot answer (exact/persistent/dominance)."""
         return [

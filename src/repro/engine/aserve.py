@@ -1,7 +1,7 @@
 """The asyncio serving surface: one event loop, thousands of parked waiters.
 
 The threaded ``BaseHTTPRequestHandler`` front end spent one OS thread per
-parked long poll, which capped a replica at a few hundred concurrent
+parked long poll, which capped a server at a few hundred concurrent
 ``?wait=`` requests.  :class:`AsyncAnalysisServer` replaces it with a single
 ``asyncio.start_server`` loop (stdlib only — no new dependencies): a parked
 waiter is a coroutine awaiting a future, so holding 500+ of them costs
@@ -116,7 +116,7 @@ async def read_http_request(
     """One HTTP/1.1 request off a stream: (method, target, headers, body).
 
     Returns None at EOF (client closed between requests); header names are
-    lower-cased.  Shared by the serving surface and the replica router.
+    lower-cased.
     """
     line = await reader.readline()
     if not line:

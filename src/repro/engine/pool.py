@@ -24,15 +24,6 @@ values into :class:`~repro.engine.spec.JobResult` records:
   :class:`~repro.sdp.diamond.GateBoundCache` at the same on-disk store
   (``SDPConfig.persistent_cache_path``), so bounds certified by one worker
   warm all the others (and later runs);
-* **cross-job batch fusion** — with a batch window enabled
-  (``batch_window_ms > 0``), the engine runs a collection-only pre-pass over
-  the window's pending jobs, pools their unsolved SDP classes across job
-  boundaries, and dispatches each same-configuration group as one giant
-  batched kernel run before execution starts.  The fused bounds travel to
-  the executing jobs through the shared persistent bound cache (exact
-  entries are re-verified on load and answer before the dominance layer), so
-  every job replays bit-identical bounds with its dual certificates intact —
-  the jobs just stop paying for under-filled per-job kernel launches;
 * **budgets and isolation** — each job runs under its own
   :class:`~repro.config.ResourceGuard` wall-clock budget
   (``guard.max_seconds``, enforced with a POSIX interval timer), and any
@@ -48,7 +39,6 @@ import dataclasses
 import hashlib
 import os
 import signal
-import tempfile
 import threading
 import time
 from collections.abc import Sequence
@@ -57,19 +47,15 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from ..circuits.program import GateOp, IfMeasure, Program, Seq
 from ..config import AnalysisConfig
 from ..core.analyzer import GleipnirAnalyzer
-from ..core.rules import absorb_continuations
 from ..errors import ResourceLimitExceeded
 from ..obs import metrics as obs_metrics
 from ..obs.trace import collecting, emit_spans, reset_tracing, span, tracing_active
-from ..sdp.diamond import gate_error_bounds_batch
 from . import costmodel
 from .outcomes import OutcomeCertificate, OutcomeStore
 from .spec import (
     AnalysisJob,
     ComparisonJob,
     JobResult,
-    _semantic_config_dict,
-    canonical_json,
     job_from_json,
 )
 from .store import ResultStore
@@ -429,16 +415,6 @@ class AnalysisEngine:
             holds skip execution entirely (a warm hit is one dict lookup) and
             every executed success is written back together with its dual
             certificates.
-        batch_window_ms: cross-job batch fusion window in milliseconds.  0
-            (the default) disables fusion; with a positive window, batches of
-            two or more pending jobs run a collection pre-pass that pools
-            their unsolved SDP classes and dispatches each same-configuration
-            group as one fused batched kernel run before execution.  The
-            window bounds the *pre-pass* time: collection stops admitting
-            further jobs once the window elapses, and the jobs left out
-            simply solve their own classes as before.
-        batch_window_max_classes: upper bound on the solve classes one fusion
-            window may pool (guards memory on pathological batches).
     """
 
     def __init__(
@@ -449,15 +425,9 @@ class AnalysisEngine:
         cache_dir: str | None = None,
         outcomes: OutcomeStore | str | None = None,
         adaptive_workers: bool = True,
-        batch_window_ms: float = 0.0,
-        batch_window_max_classes: int = 4096,
     ):
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be non-negative")
-        if batch_window_max_classes < 1:
-            raise ValueError("batch_window_max_classes must be at least 1")
         self.requested_workers = int(workers)
         if adaptive_workers:
             self.workers = max(1, min(self.requested_workers, os.cpu_count() or 1))
@@ -472,16 +442,6 @@ class AnalysisEngine:
             if isinstance(outcomes, (str, os.PathLike))
             else outcomes
         )
-        self.batch_window_ms = float(batch_window_ms)
-        self.batch_window_max_classes = int(batch_window_max_classes)
-        self._fusion_tmpdir: tempfile.TemporaryDirectory | None = None
-        self._fusion_stats = {
-            "windows": 0,
-            "fused_jobs": 0,
-            "fused_classes": 0,
-            "fused_groups": 0,
-            "solve_seconds": 0.0,
-        }
         # Warm the process-wide solve cost model from the store's recorded
         # per-class timings, so the first batch already packs by measured
         # costs instead of the dim³ prior.
@@ -504,11 +464,6 @@ class AnalysisEngine:
             "store_results": len(self.store) if self.store is not None else None,
             "outcomes": self.outcomes.stats() if self.outcomes is not None else None,
             "last_batch_shards": dict(self._last_shards) if self._last_shards else None,
-            "fusion": {
-                "batch_window_ms": self.batch_window_ms,
-                "batch_window_max_classes": self.batch_window_max_classes,
-                **self._fusion_stats,
-            },
             "costmodel": {
                 "warmed_results": self._costmodel_warmed,
                 "coefficients": costmodel.global_model().coefficients(),
@@ -590,19 +545,12 @@ class AnalysisEngine:
                     if fingerprint not in results
                 ]
             )
-            cache_dir = self.cache_dir
-            if self.batch_window_ms > 0 and len(pending) >= 2:
-                # Fused bounds travel through the shared persistent cache, so
-                # fusion needs one even when the engine was not given one.
-                cache_dir = self._fusion_cache_dir()
-                with span("engine.fuse", "engine", pending=len(pending)):
-                    self._fuse_cross_job(pending, cache_dir)
             if pending:
                 with span("engine.execute", "engine", pending=len(pending)):
                     if self.workers == 1:
-                        executed = self._run_inline(pending, results, cache_dir)
+                        executed = self._run_inline(pending, results)
                     else:
-                        executed = self._run_pool(pending, results, cache_dir)
+                        executed = self._run_pool(pending, results)
             else:
                 executed = 0
         deduplicated = len(jobs) - len(unique)
@@ -620,182 +568,6 @@ class AnalysisEngine:
             elapsed_seconds=time.perf_counter() - start,
             outcome_hits=outcome_hits,
         )
-
-    # -- cross-job batch fusion ---------------------------------------------
-    def _fusion_cache_dir(self) -> str:
-        """The persistent bound-cache directory fused solves publish into.
-
-        The engine's own ``cache_dir`` when configured; otherwise a lazily
-        created engine-lifetime temporary directory, so fusion works (and
-        stays warm across batches) without the caller managing a cache path.
-        """
-        if self.cache_dir is not None:
-            return self.cache_dir
-        if self._fusion_tmpdir is None:
-            self._fusion_tmpdir = tempfile.TemporaryDirectory(
-                prefix="gleipnir-fusion-"
-            )
-        return self._fusion_tmpdir.name
-
-    def _fuse_cross_job(
-        self, pending: list[tuple[str, AnalysisJob]], cache_dir: str
-    ) -> None:
-        """Pool the window's unsolved SDP classes across jobs and batch-solve.
-
-        For each admitted job a collection-only scheduler pre-pass
-        (:meth:`repro.core.scheduler.BoundScheduler.collect_classes`) lists
-        the solve classes its cache cannot answer.  Classes are grouped by
-        the semantic SDP configuration (identical solver settings and noise
-        convention — which also guarantees identical predicate quantisation),
-        deduplicated across jobs by problem content, and every group that two
-        or more jobs contributed to is solved as one fused
-        :func:`gate_error_bounds_batch` call.  Each owner's bound is inserted
-        into that job's cache under the job's own key, which publishes it to
-        the shared persistent store — the executing job (inline or in a
-        worker process) then answers those classes from re-verified exact
-        persistent entries, bit-identical to solving them itself.
-
-        Failures are strictly best-effort: any job whose pre-pass or group
-        solve fails is silently left to the normal unfused path.
-        """
-        deadline = time.perf_counter() + self.batch_window_ms / 1000.0
-        groups: dict[str, dict] = {}
-        collected = 0
-        admitted = 0
-        for fingerprint, job in pending:
-            if admitted >= 2 and time.perf_counter() >= deadline:
-                break
-            if collected >= self.batch_window_max_classes:
-                break
-            if not isinstance(job, AnalysisJob):
-                # Comparison jobs have no single-program scheduler pre-pass;
-                # their SDP work still warms through the shared cache_dir.
-                continue
-            try:
-                config = _prepared_config(job, cache_dir)
-                if not (config.scheduler and config.sdp.cache):
-                    continue
-                ast = job.program
-                num_qubits = job.num_qubits or ast.num_qubits
-                if not num_qubits:
-                    continue
-                bits = (
-                    [int(b) for b in job.initial_bits]
-                    if job.initial_bits is not None
-                    else [0] * num_qubits
-                )
-                if len(bits) != num_qubits:
-                    continue
-                from ..core.scheduler import BoundScheduler
-
-                analyzer = GleipnirAnalyzer(job.noise_model, config=config)
-                scheduler = BoundScheduler(
-                    job.noise_model,
-                    analyzer.cache,
-                    config,
-                    gate_key=analyzer._gate_key,
-                )
-                classes = scheduler.collect_classes(absorb_continuations(ast), bits)
-            except Exception:
-                continue
-            admitted += 1
-            if not classes:
-                continue
-            classes = classes[: self.batch_window_max_classes - collected]
-            collected += len(classes)
-            group_key = canonical_json(
-                {
-                    "sdp": _semantic_config_dict(config)["sdp"],
-                    "noise_after_gate": config.noise_after_gate,
-                }
-            )
-            group = groups.setdefault(
-                group_key, {"config": config, "caches": {}, "classes": {}}
-            )
-            group["caches"][fingerprint] = analyzer.cache
-            for solve_class in classes:
-                # Content identity: the persistent-store problem fingerprint
-                # (gate matrix + channel Choi + noise convention) plus the
-                # exact quantised predicate.  Jobs sharing it request the
-                # same SDP, whatever their gate/noise *names* are.
-                content = (
-                    solve_class.fingerprint
-                    or ("unfingerprinted", fingerprint, repr(solve_class.key)),
-                    solve_class.rho_rounded.tobytes(),
-                    float(solve_class.delta_effective),
-                )
-                entry = group["classes"].setdefault(
-                    content, {"solve_class": solve_class, "owners": []}
-                )
-                entry["owners"].append((fingerprint, solve_class))
-
-        fused_jobs: set[str] = set()
-        fused_classes = 0
-        fused_groups = 0
-        solve_seconds = 0.0
-        model = costmodel.global_model()
-        for group in groups.values():
-            if len(group["caches"]) < 2:
-                continue  # single-job groups gain nothing from parent solves
-            entries = list(group["classes"].values())
-            config = group["config"]
-            instances = [
-                (
-                    entry["solve_class"].gate_matrix,
-                    entry["solve_class"].noise_channel,
-                    entry["solve_class"].rho_rounded,
-                    entry["solve_class"].delta_effective,
-                )
-                for entry in entries
-            ]
-            timing_events: list = []
-            group_start = time.perf_counter()
-            try:
-                bounds = gate_error_bounds_batch(
-                    instances,
-                    noise_after_gate=config.noise_after_gate,
-                    config=config.sdp,
-                    timing_events=timing_events,
-                )
-            except Exception:
-                continue
-            solve_seconds += time.perf_counter() - group_start
-            error_histogram = obs_metrics.histogram(
-                "repro_costmodel_prediction_error_ratio",
-                "Relative error |predicted - actual| / actual of the solve "
-                "cost model, one sample per solved template group.",
-                buckets=costmodel.PREDICTION_ERROR_BUCKETS,
-            )
-            for event in timing_events:
-                predicted = model.predict(event["solve_class"], event["count"])
-                event["predicted_seconds"] = predicted
-                actual = float(event["seconds"])
-                error_histogram.observe(abs(predicted - actual) / max(actual, 1e-9))
-            model.observe_events(timing_events)
-            for entry, bound in zip(entries, bounds):
-                for owner_fingerprint, owner_class in entry["owners"]:
-                    group["caches"][owner_fingerprint].insert(
-                        owner_class.key, bound, fingerprint=owner_class.fingerprint
-                    )
-                    fused_jobs.add(owner_fingerprint)
-            fused_classes += len(entries)
-            fused_groups += 1
-
-        self._fusion_stats["windows"] += 1
-        self._fusion_stats["fused_jobs"] += len(fused_jobs)
-        self._fusion_stats["fused_classes"] += fused_classes
-        self._fusion_stats["fused_groups"] += fused_groups
-        self._fusion_stats["solve_seconds"] += solve_seconds
-        if fused_jobs:
-            obs_metrics.counter(
-                "repro_sdp_fused_jobs_total",
-                "Jobs whose SDP classes were solved in a cross-job fused batch.",
-            ).inc(len(fused_jobs))
-        if fused_classes:
-            obs_metrics.counter(
-                "repro_sdp_fused_classes_total",
-                "Unique solve classes dispatched through cross-job fused batches.",
-            ).inc(fused_classes)
 
     # -- execution backends ------------------------------------------------
     def _record(
@@ -825,13 +597,12 @@ class AnalysisEngine:
         self,
         pending: list[tuple[str, AnalysisJob]],
         results: dict[str, JobResult],
-        cache_dir: str | None,
     ) -> int:
         collect = self.outcomes is not None
         for fingerprint, job in pending:
             result, certificates = execute_job_record(
                 job,
-                cache_dir=cache_dir,
+                cache_dir=self.cache_dir,
                 fingerprint=fingerprint,
                 collect_certificates=collect,
             )
@@ -842,7 +613,6 @@ class AnalysisEngine:
         self,
         pending: list[tuple[str, AnalysisJob]],
         results: dict[str, JobResult],
-        cache_dir: str | None,
     ) -> int:
         """Shard pending jobs over a process pool with per-job failure capture.
 
@@ -861,7 +631,7 @@ class AnalysisEngine:
                 future = pool.submit(
                     _execute_payload,
                     job.to_json(),
-                    cache_dir,
+                    self.cache_dir,
                     fingerprint,
                     collect,
                     trace,
@@ -884,9 +654,9 @@ class AnalysisEngine:
                         )
                         # Worker solves trained the *worker's* cost model;
                         # replaying the shipped timings here keeps the parent
-                        # model (fusion-stage predictions, future packing)
-                        # learning too.  Inline execution observes in-process
-                        # already, so only the pool path ingests.
+                        # model (future packing) learning too.  Inline
+                        # execution observes in-process already, so only the
+                        # pool path ingests.
                         costmodel.global_model().ingest_timings(result.timings)
                     except Exception as exc:
                         result = JobResult(

@@ -43,7 +43,7 @@ The HTTP front end is a single-threaded **asyncio** server
 (:class:`~repro.engine.aserve.AsyncAnalysisServer`): a parked long poll or
 WebSocket subscription is a coroutine awaiting a future, bridged to the
 engine's ``threading.Condition`` world through result listeners and
-``call_soon_threadsafe``, so one replica holds thousands of concurrent
+``call_soon_threadsafe``, so one server holds thousands of concurrent
 waiters without one thread each.
 
 Errors on ``/v1`` are **structured envelopes** mapped from the
@@ -57,10 +57,6 @@ so :class:`repro.api.Client` re-raises the exact exception class.
 The historical unversioned endpoints (``POST /jobs``, ``GET /jobs/<fp>``,
 ``/healthz``) are **retired**: they answer ``410 Gone`` with a structured
 envelope naming the ``/v1`` successor.
-
-For horizontal scale, ``gleipnir-serve --replicas N`` starts N replica
-processes behind a fingerprint-sharding router — see
-:mod:`repro.engine.replicas`.
 
 Duplicate submissions (same fingerprint) — including re-submissions of jobs
 already completed in the attached result store — are answered without
@@ -563,56 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-submit", type=int, default=1024, help="max jobs in one POST /v1/batches"
     )
-    parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=0.0,
-        help="cross-job SDP fusion window in milliseconds (0 disables fusion)",
-    )
-    parser.add_argument(
-        "--batch-window-max-classes",
-        type=int,
-        default=4096,
-        help="max solve classes pooled by one fusion window",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        help="run N sharded replica processes behind a fingerprint router "
-        "(0 = single process)",
-    )
-    parser.add_argument(
-        "--shard-index",
-        type=int,
-        default=None,
-        help="this replica's shard index (set by the --replicas supervisor)",
-    )
-    parser.add_argument(
-        "--shard-count",
-        type=int,
-        default=None,
-        help="total shard count (set by the --replicas supervisor)",
-    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.replicas and args.replicas > 1:
-        from .replicas import serve_replicas
-
-        return serve_replicas(args)
-    if args.shard_index is not None:
-        # Visible on this replica's /v1/metrics so a smoke test (or an
-        # operator) can confirm which shard answered.
-        obs_metrics.gauge(
-            "repro_replica_shard", "This replica's shard index."
-        ).set(args.shard_index)
-        if args.shard_count is not None:
-            obs_metrics.gauge(
-                "repro_replica_shard_count", "Total replica count of this deployment."
-            ).set(args.shard_count)
     try:
         engine = AnalysisEngine(
             workers=args.workers,
@@ -623,8 +574,6 @@ def main(argv: list[str] | None = None) -> int:
                 if args.outcomes
                 else None
             ),
-            batch_window_ms=args.batch_window_ms,
-            batch_window_max_classes=args.batch_window_max_classes,
         )
     except StorageBackendError as exc:
         # A typo'd --store/--outcomes scheme (redis://...) is an operator

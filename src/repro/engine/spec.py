@@ -236,8 +236,8 @@ class ComparisonJob:
 
     Like :class:`AnalysisJob`, a job is content-addressed by the SHA-256 of
     its canonical JSON (``kind`` included, so the two families can never
-    collide), which is what lets dedupe, the outcome cache, sharding, and
-    replicas treat comparisons exactly like analyses.
+    collide), which is what lets dedupe, the outcome cache and the worker
+    pool treat comparisons exactly like analyses.
     """
 
     metric: str = "diamond_norm"
@@ -514,7 +514,7 @@ class JobResult:
     error: str | None = None
     #: Structured per-phase breakdown (``repro.obs`` span totals): wall-clock
     #: seconds per analysis phase plus per-solve-class solve timings — the
-    #: training data for a cross-job cost model.  Always present on executed
+    #: training data for the solve cost model.  Always present on executed
     #: jobs; empty on legacy store records.
     timings: dict = dataclasses.field(default_factory=dict)
 

@@ -60,10 +60,6 @@ def run_figure14(
     bit_flip_probability: float = DEFAULT_BIT_FLIP_PROBABILITY,
     config: AnalysisConfig | None = None,
     session: AnalysisSession | None = None,
-    workers: int = 1,
-    resume: bool = False,
-    store_path: str | None = None,
-    cache_dir: str | None = None,
     scheduler: bool = True,
     progress=None,
 ) -> Figure14Result:
@@ -73,23 +69,16 @@ def run_figure14(
     (the MPS width is part of the fingerprint), so the sweep shards and
     resumes like any other batch through the :mod:`repro.api` facade.
     ``scheduler=False`` forces the sequential per-gate path instead of the
-    single-pass scheduled pipeline.  The ``workers``/``resume``/
-    ``store_path``/``cache_dir`` kwargs are **deprecated** shims for
-    ``session=``.  ``progress`` receives one line per finished point as
-    results land (completion order); None keeps the silent batch behaviour.
+    single-pass scheduled pipeline.  Workers, stores, the shared bound cache
+    and resume are set on the ``session`` (an ephemeral inline session is
+    created when omitted).  ``progress`` receives one line per finished point
+    as results land (completion order); None keeps the silent batch behaviour.
     """
     spec = benchmark_by_name(benchmark, scale)
     circuit = spec.build()
     noise_model = NoiseModel.uniform_bit_flip(bit_flip_probability)
 
-    with resolve_session(
-        session,
-        workers=workers,
-        resume=resume,
-        store_path=store_path,
-        cache_dir=cache_dir,
-        what="run_figure14",
-    ) as active:
+    with resolve_session(session) as active:
         jobs = [
             active.job(
                 circuit,

@@ -1,7 +1,7 @@
 """Channel-metric protocols and the process-wide metric registry.
 
 The serving stack — content-addressed jobs, dedupe, the whole-outcome cache,
-sharded replicas — is metric-agnostic plumbing; this module supplies the
+the worker pool — is metric-agnostic plumbing; this module supplies the
 vocabulary that lets it carry more than one quantity.  The shape follows
 scikit-fda's ``misc.metrics`` package: small protocol classes
 (:class:`ChannelNorm` / :class:`ChannelMetric`) plus a registry with

@@ -9,7 +9,7 @@ reports its certification tier honestly:
   — exactly the arithmetic of the legacy
   :func:`~repro.sdp.diamond.diamond_distance` path, so registry routing is
   bit-identical to a direct call, and it inherits the batched kernel
-  templates, solve classes, and fusion windows for free.  Tier: *certified*
+  templates and solve classes for free.  Tier: *certified*
   (dual certificate attached).
 * :class:`TraceNormMetric` — ``0.5 ||J_A - J_B||_1 / d`` on normalised Choi
   matrices; a closed-form lower bound on the diamond distance.  Tier:

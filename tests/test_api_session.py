@@ -3,8 +3,8 @@
 The facade is the one front door: these tests pin down that it is
 bit-identical to the underlying primitives it fronts (``analyze_program``,
 the engine, ``gate_error_bound``), that outcomes are frozen typed values,
-and that the legacy experiment kwargs survive as deprecation shims with
-identical results.
+and that the experiment drivers' default path runs without deprecation
+warnings.
 """
 
 import dataclasses
@@ -168,60 +168,7 @@ class TestSessionConstruction:
 
 
 class TestLegacyShims:
-    """The deprecated kwargs build the same session — results bit-identical."""
-
-    def test_run_table2_legacy_kwargs_warn_and_match(self, tmp_path):
-        from repro.experiments.table2 import run_table2
-
-        with AnalysisSession(config=FAST) as session:
-            modern = run_table2(
-                scale="reduced",
-                benchmarks=["QAOA_line_10"],
-                include_lqr=False,
-                config=FAST,
-                session=session,
-            )
-        with pytest.warns(DeprecationWarning, match="session="):
-            legacy = run_table2(
-                scale="reduced",
-                benchmarks=["QAOA_line_10"],
-                include_lqr=False,
-                config=FAST,
-                store_path=str(tmp_path / "legacy.jsonl"),
-            )
-        assert [row.gleipnir_bound for row in legacy.rows] == [
-            row.gleipnir_bound for row in modern.rows
-        ]
-
-    def test_run_figure14_legacy_kwargs_warn_and_match(self, tmp_path):
-        from repro.experiments.figure14 import run_figure14
-
-        with AnalysisSession(config=FAST) as session:
-            modern = run_figure14(
-                scale="reduced", widths=[1, 2], config=FAST, session=session
-            )
-        with pytest.warns(DeprecationWarning, match="session="):
-            legacy = run_figure14(
-                scale="reduced",
-                widths=[1, 2],
-                config=FAST,
-                store_path=str(tmp_path / "legacy.jsonl"),
-            )
-        assert legacy.bounds() == modern.bounds()
-
-    def test_session_and_legacy_kwargs_are_exclusive(self):
-        from repro.errors import ExperimentError
-        from repro.experiments.table2 import run_table2
-
-        with AnalysisSession(config=FAST) as session:
-            with pytest.raises(ExperimentError):
-                run_table2(
-                    scale="reduced",
-                    benchmarks=["QAOA_line_10"],
-                    include_lqr=False,
-                    session=session,
-                    workers=2,
-                )
+    """The experiment drivers' default path builds its own session quietly."""
 
     def test_default_path_does_not_warn(self):
         from repro.experiments.table2 import run_table2_row

@@ -4,7 +4,8 @@ Covers the versioned wire format end to end: batch submit, long-poll result
 push (asserting a completed result costs **one** request — no client-side
 polling), capability discovery, structured error envelopes (unknown
 fingerprint, malformed payload, oversized batch), the remote
-:class:`~repro.api.AnalysisSession` transport, and the retired unversioned
+:class:`~repro.api.AnalysisSession` transport, the client's bounded retries
+on connection failures, and the retired unversioned
 surface answering 410 Gone with a pointer at its /v1 successor.
 """
 
@@ -190,6 +191,24 @@ class TestRetiredSurface:
         assert envelope["status"] == 410
         assert "/v1" in envelope["message"]  # the envelope names the successor
         assert "/v1" in (response.headers.get("Link") or "")
+
+
+class TestClientRetries:
+    def test_retries_off_by_default_fails_fast(self):
+        client = Client("http://127.0.0.1:9")  # port 9: nothing listens
+        with pytest.raises(EngineError, match="cannot reach"):
+            client.capabilities()
+        assert client.requests_sent == 1
+
+    def test_bounded_retries_count_attempts(self):
+        client = Client("http://127.0.0.1:9", retries=2, retry_base_delay=0.01)
+        with pytest.raises(EngineError, match="cannot reach"):
+            client.capabilities()
+        assert client.requests_sent == 3  # 1 original + 2 retries
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(EngineError):
+            Client("http://127.0.0.1:9", retries=-1)
 
 
 class TestServiceWait:

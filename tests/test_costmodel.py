@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_circuit
+
+from repro.circuits.program import Seq
+from repro.config import AnalysisConfig, SDPConfig
+from repro.core.scheduler import clear_tape_memo
 from repro.engine.costmodel import (
     COLD_PRIOR_SECONDS_PER_DIM3,
     SolveCostModel,
@@ -13,6 +19,34 @@ from repro.engine.costmodel import (
     parse_label_big,
     reset_global_model,
 )
+from repro.engine.pool import AnalysisEngine
+from repro.engine.spec import AnalysisJob
+from repro.noise import NoiseModel
+
+FAST = AnalysisConfig(mps_width=4, sdp=SDPConfig(max_iterations=200, tolerance=1e-4))
+MODEL = NoiseModel.uniform_bit_flip(1e-3)
+
+
+def prefix_jobs(seed: int, num_gates: int = 12, fractions=(0.5, 1.0)) -> list[AnalysisJob]:
+    """Prefix truncations of one random circuit: distinct jobs (distinct
+    fingerprints, no engine dedupe) whose shared prefix guarantees
+    overlapping quantised solve classes."""
+    circuit = random_circuit(3, num_gates, seed=seed)
+    program = circuit.to_program()
+    parts = list(program.parts) if isinstance(program, Seq) else [program]
+    jobs = []
+    for fraction in fractions:
+        keep = max(1, int(len(parts) * fraction))
+        jobs.append(
+            AnalysisJob(
+                program=Seq(tuple(parts[:keep])),
+                noise_model=MODEL,
+                config=FAST,
+                num_qubits=circuit.num_qubits,
+                name=f"prefix{keep}",
+            )
+        )
+    return jobs
 
 
 class TestLabelParsing:
@@ -164,3 +198,34 @@ class TestLptPack:
         # itself instead of stacking with the small ones.
         packed = lpt_pack([5.0, 1.0, 1.0, 1.0, 4.0, 4.0], 3)
         assert packed == [[0, 3], [1, 4], [2, 5]]
+
+
+class TestTimingAttribution:
+    """solve_timings events carry worker/chunk attribution and a prediction."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_process_state(self):
+        """No job may inherit a warm tape memo or a trained cost model."""
+        clear_tape_memo()
+        reset_global_model()
+        yield
+        clear_tape_memo()
+        reset_global_model()
+
+    def test_events_record_worker_chunk_and_prediction(self):
+        jobs = prefix_jobs(seed=11, fractions=(1.0,))
+        report = AnalysisEngine(workers=1).run(jobs)
+        assert report.ok
+        events = (report.results[0].timings or {}).get("solve_classes")
+        assert events
+        for event in events:
+            assert event["count"] >= 1
+            assert event["seconds"] >= 0.0
+            assert isinstance(event["worker"], int) and event["worker"] >= 0
+            assert event["chunk"] == event["worker"]
+            assert event["predicted_seconds"] >= 0.0
+
+
+class TestEngineStats:
+    def test_stats_expose_costmodel(self):
+        assert "coefficients" in AnalysisEngine(workers=1).stats()["costmodel"]
